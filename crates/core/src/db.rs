@@ -1346,11 +1346,12 @@ impl Database {
         // the commit lock and may be mid-access on another thread. The
         // concurrency suites assert it at quiescence instead.
         self.pager.end_phase();
+        let io = self.pager.stats().totals();
         out.stats = QueryStats {
-            input_pages: self.pager.stats().total_reads(),
-            output_pages: self.pager.stats().total_writes(),
-            buffer_hits: self.pager.stats().total_hits(),
-            evictions: self.pager.stats().total_evictions(),
+            input_pages: io.reads,
+            output_pages: io.writes,
+            buffer_hits: io.hits,
+            evictions: io.evictions,
             phases: self.pager.stats().phases().to_vec(),
         };
         if self.wal.is_none() && self.persist_dir.is_some() && mutating {

@@ -802,7 +802,7 @@ impl Session {
         }
         // No reset_stats here: counters are global and other sessions
         // may be mid-statement. Report monotone-counter deltas instead.
-        let before = snapshot(pager.stats());
+        let before = pager.stats().totals();
         let executed = if multi {
             let mut local = view.catalog.clone();
             exec_retrieve_snapshot(pager, &mut local, &bound, guard)
@@ -833,16 +833,16 @@ impl Session {
             }
         }
         self.engine.note_snapshot_read();
-        let after = snapshot(pager.stats());
+        let after = pager.stats().totals();
         Ok(SnapshotAttempt::Served(Box::new(ExecOutput {
             affected: result.rows.len(),
             columns: result.columns,
             rows: result.rows,
             stats: QueryStats {
-                input_pages: after.0.saturating_sub(before.0),
-                output_pages: after.1.saturating_sub(before.1),
-                buffer_hits: after.2.saturating_sub(before.2),
-                evictions: after.3.saturating_sub(before.3),
+                input_pages: after.reads.saturating_sub(before.reads),
+                output_pages: after.writes.saturating_sub(before.writes),
+                buffer_hits: after.hits.saturating_sub(before.hits),
+                evictions: after.evictions.saturating_sub(before.evictions),
                 phases: Vec::new(),
             },
         })))
@@ -874,23 +874,23 @@ impl Session {
         }
         // No reset_stats here: counters are global and other readers may
         // be mid-statement. Report monotone-counter deltas instead.
-        let before = snapshot(db.io_stats());
+        let before = db.io_stats().totals();
         let result = exec_retrieve_readonly(
             db.pager(),
             db.catalog(),
             &bound,
             guard,
         )?;
-        let after = snapshot(db.io_stats());
+        let after = db.io_stats().totals();
         Ok(Some(ExecOutput {
             affected: result.rows.len(),
             columns: result.columns,
             rows: result.rows,
             stats: QueryStats {
-                input_pages: after.0.saturating_sub(before.0),
-                output_pages: after.1.saturating_sub(before.1),
-                buffer_hits: after.2.saturating_sub(before.2),
-                evictions: after.3.saturating_sub(before.3),
+                input_pages: after.reads.saturating_sub(before.reads),
+                output_pages: after.writes.saturating_sub(before.writes),
+                buffer_hits: after.hits.saturating_sub(before.hits),
+                evictions: after.evictions.saturating_sub(before.evictions),
                 phases: Vec::new(),
             },
         }))
@@ -928,15 +928,6 @@ fn ranges_sorted(
         ranges.iter().map(|(k, r)| (k.clone(), r.clone())).collect();
     v.sort();
     v
-}
-
-fn snapshot(stats: &tdbms_storage::IoStats) -> (u64, u64, u64, u64) {
-    (
-        stats.total_reads(),
-        stats.total_writes(),
-        stats.total_hits(),
-        stats.total_evictions(),
-    )
 }
 
 #[cfg(test)]

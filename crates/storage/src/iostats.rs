@@ -14,9 +14,10 @@
 //! sliced into **named phases** (`begin_phase` / `end_phase`) so a query
 //! processor can attribute I/O to, say, decomposition vs. tuple
 //! substitution. The structural invariant `hits + misses == accesses`
-//! holds per file and in total; `accesses` is counted at the access site
-//! and `hits`/`reads` at the classification sites, so the identity is a
-//! real cross-check, not a tautology.
+//! holds per file and in total; an access and its classification are
+//! separate counters bumped together through one cell
+//! (`record_access_hit` / `record_access_read`), so the identity checks
+//! that no access went unclassified and no reset split a pair.
 //!
 //! Version 3 makes the ledger shareable: per-file counters are atomics
 //! behind an `RwLock`'d directory and the phase ledger sits behind a
@@ -104,13 +105,18 @@ impl FileIo {
     }
 }
 
-/// Aggregate totals at one instant (phase baselines).
+/// Counters summed over every file at one instant (statement and phase
+/// baselines).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-struct Totals {
-    reads: u64,
-    writes: u64,
-    hits: u64,
-    evictions: u64,
+pub struct Totals {
+    /// Pages fetched from disk.
+    pub reads: u64,
+    /// Pages written back.
+    pub writes: u64,
+    /// Buffer hits.
+    pub hits: u64,
+    /// Capacity evictions.
+    pub evictions: u64,
 }
 
 /// The phase slices of the ledger, guarded as one unit.
@@ -162,24 +168,30 @@ impl IoStats {
         )
     }
 
-    pub(crate) fn record_read(&self, file: FileId) {
-        self.cell(file).reads.fetch_add(1, Ordering::Relaxed);
-    }
-
     pub(crate) fn record_write(&self, file: FileId) {
         self.cell(file).writes.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_hit(&self, file: FileId) {
-        self.cell(file).hits.fetch_add(1, Ordering::Relaxed);
     }
 
     pub(crate) fn record_eviction(&self, file: FileId) {
         self.cell(file).evictions.fetch_add(1, Ordering::Relaxed);
     }
 
-    pub(crate) fn record_access(&self, file: FileId) {
-        self.cell(file).accesses.fetch_add(1, Ordering::Relaxed);
+    /// One buffered access served from the buffer. Both halves of the
+    /// ledger pair land in the same cell: a concurrent [`IoStats::reset`]
+    /// between two separate lookups would strand one half in a fresh
+    /// cell and unbalance `hits + reads == accesses`.
+    pub(crate) fn record_access_hit(&self, file: FileId) {
+        let c = self.cell(file);
+        c.accesses.fetch_add(1, Ordering::Relaxed);
+        c.hits.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// One buffered access that read its page from disk (a miss); both
+    /// halves through one cell, as in [`IoStats::record_access_hit`].
+    pub(crate) fn record_access_read(&self, file: FileId) {
+        let c = self.cell(file);
+        c.accesses.fetch_add(1, Ordering::Relaxed);
+        c.reads.fetch_add(1, Ordering::Relaxed);
     }
 
     pub(crate) fn record_retry(&self, file: FileId) {
@@ -321,13 +333,20 @@ impl IoStats {
         snap.into_iter()
     }
 
-    fn totals(&self) -> Totals {
-        Totals {
-            reads: self.total_reads(),
-            writes: self.total_writes(),
-            hits: self.total_hits(),
-            evictions: self.total_evictions(),
+    /// Reads, writes, hits and evictions summed over every file in one
+    /// walk under one read lock (the four `total_*` calls would walk four
+    /// times).
+    pub fn totals(&self) -> Totals {
+        let counters =
+            self.counters.read().unwrap_or_else(PoisonError::into_inner);
+        let mut t = Totals::default();
+        for c in counters.values() {
+            t.reads += c.reads.load(Ordering::Relaxed);
+            t.writes += c.writes.load(Ordering::Relaxed);
+            t.hits += c.hits.load(Ordering::Relaxed);
+            t.evictions += c.evictions.load(Ordering::Relaxed);
         }
+        t
     }
 
     /// Open a named phase. All I/O until `end_phase` (or the next
@@ -337,8 +356,9 @@ impl IoStats {
     pub fn begin_phase(&self, name: &str) {
         let mut ledger =
             self.phases.lock().unwrap_or_else(PoisonError::into_inner);
-        Self::close_open(&mut ledger, self.totals());
-        ledger.open = Some((name.to_string(), self.totals()));
+        let now = self.totals();
+        Self::close_open(&mut ledger, now);
+        ledger.open = Some((name.to_string(), now));
     }
 
     /// Close the open phase, if any, recording its I/O delta.
@@ -440,13 +460,10 @@ mod tests {
         let s = IoStats::new();
         let a = FileId(1);
         let b = FileId(2);
-        s.record_access(a);
-        s.record_read(a);
-        s.record_access(a);
-        s.record_read(a);
+        s.record_access_read(a);
+        s.record_access_read(a);
         s.record_write(a);
-        s.record_access(b);
-        s.record_read(b);
+        s.record_access_read(b);
         assert_eq!(s.of(a).reads, 2);
         assert_eq!(s.of(a).writes, 1);
         assert_eq!(s.of(b).reads, 1);
@@ -487,12 +504,10 @@ mod tests {
         let s = IoStats::new();
         let f = FileId(7);
         for _ in 0..5 {
-            s.record_access(f);
-            s.record_hit(f);
+            s.record_access_hit(f);
         }
         for _ in 0..3 {
-            s.record_access(f);
-            s.record_read(f);
+            s.record_access_read(f);
         }
         s.record_eviction(f);
         let io = s.of(f);
@@ -504,6 +519,16 @@ mod tests {
         assert_eq!(s.total_hits(), 5);
         assert_eq!(s.total_accesses(), 8);
         assert_eq!(s.total_evictions(), 1);
+        s.record_write(FileId(8));
+        assert_eq!(
+            s.totals(),
+            Totals {
+                reads: 3,
+                writes: 1,
+                hits: 5,
+                evictions: 1,
+            }
+        );
     }
 
     #[test]
@@ -511,21 +536,17 @@ mod tests {
         let s = IoStats::new();
         let f = FileId(3);
         s.begin_phase("decomposition");
-        s.record_access(f);
-        s.record_read(f);
+        s.record_access_read(f);
         s.record_write(f);
         // begin_phase closes the open phase implicitly.
         s.begin_phase("substitution");
-        s.record_access(f);
-        s.record_hit(f);
-        s.record_access(f);
-        s.record_read(f);
+        s.record_access_hit(f);
+        s.record_access_read(f);
         s.record_eviction(f);
         s.end_phase();
         // A second round of the same phase aggregates under `scoped`.
         s.begin_phase("substitution");
-        s.record_access(f);
-        s.record_read(f);
+        s.record_access_read(f);
         s.end_phase();
 
         assert_eq!(s.phases().len(), 3);
@@ -554,11 +575,9 @@ mod tests {
     fn clone_is_a_frozen_snapshot() {
         let s = IoStats::new();
         let f = FileId(4);
-        s.record_access(f);
-        s.record_read(f);
+        s.record_access_read(f);
         let snap = s.clone();
-        s.record_access(f);
-        s.record_hit(f);
+        s.record_access_hit(f);
         assert_eq!(snap.of(f).accesses, 1);
         assert_eq!(s.of(f).accesses, 2);
         assert!(snap.is_consistent() && s.is_consistent());
@@ -577,11 +596,10 @@ mod tests {
                 scope.spawn(move || {
                     let f = FileId(t % 3);
                     for i in 0..per {
-                        s.record_access(f);
                         if i % 2 == 0 {
-                            s.record_hit(f);
+                            s.record_access_hit(f);
                         } else {
-                            s.record_read(f);
+                            s.record_access_read(f);
                         }
                         if i % 7 == 0 {
                             s.record_write(f);

@@ -16,6 +16,13 @@
 //!   first access to a file restored from a persisted catalog — is built
 //!   by one helper that honors the configured caps, so a relation buffers
 //!   identically however its file came into view.
+//! * A pool costs O(1) per hit and per eviction at any cap: frames stay
+//!   in fixed slots, a direct-mapped **page table** (page number → slot;
+//!   page numbers are dense per file) finds a page without a search,
+//!   and LRU order is an intrusive doubly-linked **list** over the slots,
+//!   so a hit relinks one slot and an eviction reuses the victim's slot.
+//!   Clock sweeps the same slots with a hand. The victims are those of
+//!   a linear-scan, move-to-front list, page for page.
 //! * Frames are **pinned** for the duration of a `read`/`write` callback:
 //!   the eviction scan skips pinned frames, so a multi-page operation
 //!   (ISAM directory descent, overflow-chain walk, a heap scan feeding a
@@ -148,12 +155,42 @@ struct Frame {
     referenced: bool,
 }
 
+/// "No slot" in the page table and "no neighbour" in the LRU list.
+const NIL: u32 = u32::MAX;
+
+/// One file's frames, laid out so that a hit and an eviction each cost
+/// O(1) whatever the cap:
+///
+/// * **Stable slots.** A frame stays in its slot of `frames` until it
+///   is evicted; an eviction swaps the incoming frame into the victim's
+///   slot, so a miss at capacity allocates nothing.
+/// * **Page table.** `table[page_no]` is the page's slot, or [`NIL`].
+///   Page numbers are dense per file, so a direct-mapped `Vec` needs no
+///   hashing; it grows to the highest page number ever resident.
+/// * **LRU list.** An intrusive doubly-linked list over slot indices
+///   (`prev`/`next`, MRU at `head`). An LRU hit relinks its slot to the
+///   front; the victim is the first unpinned slot walking from `tail`.
+/// * **Clock** sweeps `frames` in slot order with `hand`. Under Clock
+///   the list is kept in slot order (new frames go to the back, a
+///   victim's slot is reused in place), so write-back order and a later
+///   switch to LRU follow the sweep order.
+///
+/// Victims, write-back order and every counter are exactly those of a
+/// single `Vec` of frames searched linearly — MRU-first with
+/// move-to-front under LRU, a swept slot array under Clock — which is
+/// the reference model of this module's differential test. Only rare
+/// paths (shrinking the cap, removing one page, switching to Clock)
+/// rebuild the layout, in O(frames).
 struct FilePool {
     cap: usize,
-    /// Frame list. Under LRU it is MRU-first; under Clock it is a slot
-    /// array swept by `hand`. Tiny either way (cap is 1 in the paper's
-    /// benchmark), so linear search beats any fancier structure.
     frames: Vec<Frame>,
+    table: Vec<u32>,
+    prev: Vec<u32>,
+    next: Vec<u32>,
+    head: u32,
+    tail: u32,
+    /// Frames with `pinned` set, so Clock's all-pinned check is O(1).
+    pinned: usize,
     /// Clock hand: index of the next frame the sweep inspects.
     hand: usize,
 }
@@ -163,20 +200,157 @@ impl FilePool {
         FilePool {
             cap: cap.max(1),
             frames: Vec::new(),
+            table: Vec::new(),
+            prev: Vec::new(),
+            next: Vec::new(),
+            head: NIL,
+            tail: NIL,
+            pinned: 0,
             hand: 0,
         }
     }
 
-    /// Pick the frame the policy sacrifices, skipping pinned frames.
-    /// `None` only when every frame is pinned.
-    fn evict_index(&mut self, policy: EvictionPolicy) -> Option<usize> {
+    /// The slot holding `page_no`, if resident.
+    fn slot_of(&self, page_no: u32) -> Option<usize> {
+        match self.table.get(page_no as usize) {
+            Some(&s) if s != NIL => Some(s as usize),
+            _ => None,
+        }
+    }
+
+    fn map(&mut self, page_no: u32, slot: usize) {
+        let i = page_no as usize;
+        if i >= self.table.len() {
+            self.table.resize(i + 1, NIL);
+        }
+        debug_assert_eq!(
+            self.table[i], NIL,
+            "page {page_no} resident twice"
+        );
+        self.table[i] = slot as u32;
+    }
+
+    fn unmap(&mut self, page_no: u32) {
+        self.table[page_no as usize] = NIL;
+    }
+
+    fn unlink(&mut self, s: usize) {
+        let (p, n) = (self.prev[s], self.next[s]);
+        match p {
+            NIL => self.head = n,
+            p => self.next[p as usize] = n,
+        }
+        match n {
+            NIL => self.tail = p,
+            n => self.prev[n as usize] = p,
+        }
+    }
+
+    fn link_front(&mut self, s: usize) {
+        self.prev[s] = NIL;
+        self.next[s] = self.head;
+        match self.head {
+            NIL => self.tail = s as u32,
+            h => self.prev[h as usize] = s as u32,
+        }
+        self.head = s as u32;
+    }
+
+    fn link_back(&mut self, s: usize) {
+        self.next[s] = NIL;
+        self.prev[s] = self.tail;
+        match self.tail {
+            NIL => self.head = s as u32,
+            t => self.next[t as usize] = s as u32,
+        }
+        self.tail = s as u32;
+    }
+
+    /// Record an access to a resident slot.
+    fn touch(&mut self, s: usize, policy: EvictionPolicy) {
         match policy {
             EvictionPolicy::Lru => {
-                self.frames.iter().rposition(|f| !f.pinned)
+                if self.head != s as u32 {
+                    self.unlink(s);
+                    self.link_front(s);
+                }
+            }
+            EvictionPolicy::Clock => self.frames[s].referenced = true,
+        }
+    }
+
+    /// Put `frame` in a new slot, at the front of the list (an LRU
+    /// install) or at the back (Clock installs; readahead under either
+    /// policy), and return the slot.
+    fn push(&mut self, frame: Frame, front: bool) -> usize {
+        let s = self.frames.len();
+        self.map(frame.page_no, s);
+        self.pinned += usize::from(frame.pinned);
+        self.frames.push(frame);
+        self.prev.push(NIL);
+        self.next.push(NIL);
+        if front {
+            self.link_front(s);
+        } else {
+            self.link_back(s);
+        }
+        s
+    }
+
+    /// Install `frame` in the victim's slot `s`, returning the victim.
+    /// Under LRU the slot becomes MRU; under Clock it keeps its place in
+    /// the sweep.
+    fn replace(
+        &mut self,
+        s: usize,
+        frame: Frame,
+        policy: EvictionPolicy,
+    ) -> Frame {
+        self.pinned += usize::from(frame.pinned);
+        let old = std::mem::replace(&mut self.frames[s], frame);
+        self.pinned -= usize::from(old.pinned);
+        self.unmap(old.page_no);
+        self.map(self.frames[s].page_no, s);
+        if policy == EvictionPolicy::Lru {
+            self.touch(s, policy);
+        }
+        old
+    }
+
+    /// Mark slot `s` held by a callback, returning its frame (`None`
+    /// for a slot that does not exist).
+    fn pin(&mut self, s: usize) -> Option<&mut Frame> {
+        let frame = self.frames.get_mut(s)?;
+        if !frame.pinned {
+            frame.pinned = true;
+            self.pinned += 1;
+        }
+        Some(frame)
+    }
+
+    fn unpin(&mut self, s: usize) {
+        if let Some(frame) = self.frames.get_mut(s) {
+            if frame.pinned {
+                frame.pinned = false;
+                self.pinned -= 1;
+            }
+        }
+    }
+
+    /// Pick the slot the policy sacrifices, skipping pinned frames.
+    /// `None` only when every frame is pinned.
+    fn evict_slot(&mut self, policy: EvictionPolicy) -> Option<usize> {
+        match policy {
+            EvictionPolicy::Lru => {
+                let mut s = self.tail;
+                while s != NIL && self.frames[s as usize].pinned {
+                    s = self.prev[s as usize];
+                }
+                (s != NIL).then_some(s as usize)
             }
             EvictionPolicy::Clock => {
                 let n = self.frames.len();
-                if n == 0 || self.frames.iter().all(|f| f.pinned) {
+                if n == 0 || self.pinned == n {
                     return None;
                 }
                 // At most two sweeps: the first clears reference bits,
@@ -197,6 +371,74 @@ impl FilePool {
                 unreachable!("an unpinned frame loses its reference bit")
             }
         }
+    }
+
+    /// Empty the pool, returning its frames in list order (MRU-first
+    /// under LRU, slot order under Clock). The hand is left alone.
+    fn take_ordered(&mut self) -> Vec<Frame> {
+        let mut slots: Vec<Option<Frame>> =
+            std::mem::take(&mut self.frames)
+                .into_iter()
+                .map(Some)
+                .collect();
+        let mut out = Vec::with_capacity(slots.len());
+        let mut s = self.head;
+        while s != NIL {
+            let frame =
+                slots[s as usize].take().expect("each slot is listed once");
+            self.unmap(frame.page_no);
+            s = self.next[s as usize];
+            out.push(frame);
+        }
+        self.prev.clear();
+        self.next.clear();
+        self.head = NIL;
+        self.tail = NIL;
+        self.pinned = 0;
+        out
+    }
+
+    /// Take every frame out, in the order the policy writes them back,
+    /// and rewind the hand.
+    fn drain(&mut self) -> Vec<Frame> {
+        let frames = self.take_ordered();
+        self.hand = 0;
+        frames
+    }
+
+    /// Drop every frame without write-back and rewind the hand.
+    fn clear(&mut self) {
+        self.drain();
+    }
+
+    /// Lay the frames out again with slots in list order (rare paths).
+    fn rebuild(&mut self, frames: Vec<Frame>) {
+        for frame in frames {
+            self.push(frame, false);
+        }
+    }
+
+    /// Remove slot `s`, keeping the other frames' list order; under
+    /// Clock (list order == slot order) the slots after `s` shift down
+    /// by one, as a `Vec::remove` of the sweep array would.
+    fn remove(&mut self, s: usize) -> Frame {
+        let mut at = 0;
+        let mut cur = self.head;
+        while cur != s as u32 {
+            cur = self.next[cur as usize];
+            at += 1;
+        }
+        let mut frames = self.take_ordered();
+        let frame = frames.remove(at);
+        self.rebuild(frames);
+        frame
+    }
+
+    /// Make slot order equal list order, so Clock sweeps the frames in
+    /// the LRU list's MRU-first order (a switch from LRU to Clock).
+    fn relayout(&mut self) {
+        let frames = self.take_ordered();
+        self.rebuild(frames);
     }
 }
 
@@ -501,7 +743,7 @@ impl PagerState {
     }
 
     /// Make room in `file`'s pool (evicting by policy, with accounting)
-    /// and install `frame`, returning its index.
+    /// and install `frame`, returning its slot.
     fn install_frame(
         &mut self,
         stats: &IoStats,
@@ -509,50 +751,27 @@ impl PagerState {
         frame: Frame,
     ) -> Result<usize> {
         let policy = self.policy;
-        let victim = {
-            let pool = self.pool_mut(file);
-            if pool.frames.len() >= pool.cap {
-                let idx = pool.evict_index(policy).ok_or_else(|| {
-                    Error::Internal(
-                        "buffer pool exhausted: every frame is pinned"
-                            .into(),
-                    )
-                })?;
-                Some((idx, pool.frames.remove(idx)))
-            } else {
-                None
-            }
-        };
-        let vacated_idx = match victim {
-            Some((idx, old)) => {
-                stats.record_eviction(file);
-                self.write_back(stats, file, old)?;
-                Some(idx)
-            }
-            None => None,
-        };
-        let policy = self.policy;
-        let pool = self.pool_of(file)?;
-        let at = match policy {
-            // MRU position.
-            EvictionPolicy::Lru => 0,
-            // The vacated slot (keeps other frames' sweep order), else the
-            // next free slot.
-            EvictionPolicy::Clock => vacated_idx
-                .unwrap_or(pool.frames.len())
-                .min(pool.frames.len()),
-        };
-        pool.frames.insert(at, frame);
-        Ok(at)
+        let pool = self.pool_mut(file);
+        if pool.frames.len() < pool.cap {
+            return Ok(pool.push(frame, policy == EvictionPolicy::Lru));
+        }
+        let slot = pool.evict_slot(policy).ok_or_else(|| {
+            Error::Internal(
+                "buffer pool exhausted: every frame is pinned".into(),
+            )
+        })?;
+        let victim = pool.replace(slot, frame, policy);
+        stats.record_eviction(file);
+        self.write_back(stats, file, victim)?;
+        Ok(slot)
     }
 
-    /// Position the frame for (`file`, `page_no`) in the pool, fetching
-    /// from disk on a miss, and return its index. Every *successful*
-    /// call is one buffered page access — a hit or a miss — recorded
-    /// together with its hit/read half so the ledger identity
-    /// `hits + reads == accesses` survives a fetch that errors out
-    /// (stale snapshot reads against a concurrently reorganized file do
-    /// that in normal operation).
+    /// Find or fetch the frame for (`file`, `page_no`) and return its
+    /// slot. Every *successful* call is one buffered page access — a hit
+    /// or a miss — recorded together with its hit/read half so the
+    /// ledger identity `hits + reads == accesses` survives a fetch that
+    /// errors out (stale snapshot reads against a concurrently
+    /// reorganized file do that in normal operation).
     fn fault_in(
         &mut self,
         stats: &IoStats,
@@ -561,24 +780,10 @@ impl PagerState {
     ) -> Result<usize> {
         let policy = self.policy;
         let pool = self.pool_mut(file);
-        if let Some(pos) =
-            pool.frames.iter().position(|f| f.page_no == page_no)
-        {
-            let at = match policy {
-                EvictionPolicy::Lru => {
-                    // Hit: move to MRU position.
-                    let frame = pool.frames.remove(pos);
-                    pool.frames.insert(0, frame);
-                    0
-                }
-                EvictionPolicy::Clock => {
-                    pool.frames[pos].referenced = true;
-                    pos
-                }
-            };
-            stats.record_access(file);
-            stats.record_hit(file);
-            return Ok(at);
+        if let Some(slot) = pool.slot_of(page_no) {
+            pool.touch(slot, policy);
+            stats.record_access_hit(file);
+            return Ok(slot);
         }
         // Miss: fetch (the staging overlay shadows the disk; disk reads
         // are checksum-verified with bounded retry), then install
@@ -587,7 +792,7 @@ impl PagerState {
             Some(p) => p.clone(),
             None => self.fetch_from_disk(stats, file, page_no)?,
         };
-        let at = self.install_frame(
+        let slot = self.install_frame(
             stats,
             file,
             Frame {
@@ -598,9 +803,8 @@ impl PagerState {
                 referenced: false,
             },
         )?;
-        stats.record_access(file);
-        stats.record_read(file);
-        Ok(at)
+        stats.record_access_read(file);
+        Ok(slot)
     }
 }
 
@@ -680,10 +884,17 @@ impl Pager {
     }
 
     /// Change the eviction policy for every pool. Reference bits and the
-    /// clock hand carry over untouched; with the paper's single-frame
-    /// pools the policies are indistinguishable.
+    /// clock hand carry over untouched, and Clock starts sweeping the
+    /// frames in their LRU order, MRU first; with the paper's
+    /// single-frame pools the policies are indistinguishable.
     pub fn set_eviction_policy(&self, policy: EvictionPolicy) {
-        self.st().policy = policy;
+        let st = &mut *self.st();
+        if st.policy == EvictionPolicy::Lru
+            && policy == EvictionPolicy::Clock
+        {
+            st.pools.values_mut().for_each(FilePool::relayout);
+        }
+        st.policy = policy;
     }
 
     /// The active eviction policy.
@@ -710,12 +921,12 @@ impl Pager {
             if pool.frames.len() <= cap {
                 break;
             }
-            let idx = pool.evict_index(policy).ok_or_else(|| {
+            let slot = pool.evict_slot(policy).ok_or_else(|| {
                 Error::Internal(
                     "cannot shrink pool: all frames pinned".into(),
                 )
             })?;
-            let frame = pool.frames.remove(idx);
+            let frame = pool.remove(slot);
             self.stats.record_eviction(file);
             st.write_back(&self.stats, file, frame)?;
         }
@@ -869,7 +1080,7 @@ impl Pager {
             if pool.frames.len() >= pool.cap {
                 break;
             }
-            if pool.frames.iter().any(|f| f.page_no == page_no) {
+            if pool.slot_of(page_no).is_some() {
                 continue;
             }
             let page = match st.overlay.get(&(file, page_no)) {
@@ -884,16 +1095,17 @@ impl Pager {
                     }
                 }
             };
-            self.stats.record_access(file);
-            self.stats.record_read(file);
-            let pool = st.pool_mut(file);
-            pool.frames.push(Frame {
-                page_no,
-                page,
-                dirty: false,
-                pinned: false,
-                referenced: false,
-            });
+            self.stats.record_access_read(file);
+            st.pool_mut(file).push(
+                Frame {
+                    page_no,
+                    page,
+                    dirty: false,
+                    pinned: false,
+                    referenced: false,
+                },
+                false,
+            );
             fetched += 1;
         }
         if fetched > 0 {
@@ -952,8 +1164,7 @@ impl Pager {
         page_no: u32,
     ) -> Result<Page> {
         let page = self.st().disk.read_page(file, page_no)?;
-        self.stats.record_access(file);
-        self.stats.record_read(file);
+        self.stats.record_access_read(file);
         Ok(page)
     }
 
@@ -974,7 +1185,9 @@ impl Pager {
         st.overlay.remove(&(file, page_no));
         st.staged.remove(&(file, page_no));
         if let Some(pool) = st.pools.get_mut(&file) {
-            pool.frames.retain(|f| f.page_no != page_no);
+            if let Some(slot) = pool.slot_of(page_no) {
+                pool.remove(slot);
+            }
             pool.hand = 0;
         }
         Ok(())
@@ -989,9 +1202,7 @@ impl Pager {
         let st = &mut *self.st();
         let files: Vec<FileId> = st.pools.keys().copied().collect();
         for f in files {
-            let pool = st.pool_of(f)?;
-            pool.hand = 0;
-            let frames = std::mem::take(&mut pool.frames);
+            let frames = st.pool_of(f)?.drain();
             for frame in frames {
                 st.write_back(&self.stats, f, frame)?;
             }
@@ -1094,8 +1305,7 @@ impl Pager {
             }
         }
         if let Some(pool) = st.pools.get_mut(&file) {
-            pool.frames.clear();
-            pool.hand = 0;
+            pool.clear();
         }
         if let Some(sums) = &mut st.checksums {
             sums.truncate(file, 0);
@@ -1122,15 +1332,12 @@ impl Pager {
         f: impl FnOnce(&Page) -> R,
     ) -> Result<R> {
         let st = &mut *self.st();
-        let idx = st.fault_in(&self.stats, file, page_no)?;
-        let frame = st
-            .pool_of(file)?
-            .frames
-            .get_mut(idx)
-            .ok_or_else(|| missing_frame(file, page_no))?;
-        frame.pinned = true;
+        let slot = st.fault_in(&self.stats, file, page_no)?;
+        let pool = st.pool_of(file)?;
+        let frame =
+            pool.pin(slot).ok_or_else(|| missing_frame(file, page_no))?;
         let r = f(&frame.page);
-        frame.pinned = false;
+        pool.unpin(slot);
         Ok(r)
     }
 
@@ -1144,16 +1351,13 @@ impl Pager {
         f: impl FnOnce(&mut Page) -> R,
     ) -> Result<R> {
         let st = &mut *self.st();
-        let idx = st.fault_in(&self.stats, file, page_no)?;
-        let frame = st
-            .pool_of(file)?
-            .frames
-            .get_mut(idx)
-            .ok_or_else(|| missing_frame(file, page_no))?;
+        let slot = st.fault_in(&self.stats, file, page_no)?;
+        let pool = st.pool_of(file)?;
+        let frame =
+            pool.pin(slot).ok_or_else(|| missing_frame(file, page_no))?;
         frame.dirty = true;
-        frame.pinned = true;
         let r = f(&mut frame.page);
-        frame.pinned = false;
+        pool.unpin(slot);
         Ok(r)
     }
 
@@ -1196,12 +1400,16 @@ impl Pager {
     pub fn flush_file(&self, file: FileId) -> Result<()> {
         let st = &mut *self.st();
         if let Some(pool) = st.pools.get_mut(&file) {
+            // List order: MRU-first under LRU, slot order under Clock.
             let mut dirty = Vec::new();
-            for frame in pool.frames.iter_mut() {
+            let mut slot = pool.head;
+            while slot != NIL {
+                let frame = &mut pool.frames[slot as usize];
                 if frame.dirty {
                     frame.dirty = false;
                     dirty.push((frame.page_no, frame.page.clone()));
                 }
+                slot = pool.next[slot as usize];
             }
             for (page_no, page) in dirty {
                 if st.staging {
@@ -1283,10 +1491,8 @@ impl Pager {
         page.set_lsn(lsn);
         let copy = page.clone();
         if let Some(pool) = st.pools.get_mut(&file) {
-            if let Some(f) =
-                pool.frames.iter_mut().find(|f| f.page_no == page_no)
-            {
-                f.page.set_lsn(lsn);
+            if let Some(slot) = pool.slot_of(page_no) {
+                pool.frames[slot].page.set_lsn(lsn);
             }
         }
         Ok(copy)
@@ -1414,8 +1620,7 @@ impl Pager {
         polluted.extend(u.created.iter().copied());
         for f in &polluted {
             if let Some(pool) = st.pools.get_mut(f) {
-                pool.frames.clear();
-                pool.hand = 0;
+                pool.clear();
             }
         }
         for (key, (img, was_staged)) in &u.touched {
@@ -1533,14 +1738,13 @@ impl Pager {
     /// Test hook: force a frame's pin bit, bypassing the callback
     /// discipline, to exercise the all-pinned eviction guard.
     #[cfg(test)]
-    fn force_pin(&self, file: FileId, idx: usize, on: bool) {
-        let st = &mut *self.st();
-        if let Some(frame) = st
-            .pools
-            .get_mut(&file)
-            .and_then(|pool| pool.frames.get_mut(idx))
-        {
-            frame.pinned = on;
+    fn force_pin(&self, file: FileId, slot: usize, on: bool) {
+        if let Some(pool) = self.st().pools.get_mut(&file) {
+            if on {
+                pool.pin(slot);
+            } else {
+                pool.unpin(slot);
+            }
         }
     }
 
@@ -2255,5 +2459,535 @@ mod tests {
             assert_eq!(io.hits + io.reads, 50);
         }
         assert!(pager.stats().is_consistent());
+    }
+
+    // --- Differential test against the linear-scan pool -------------------
+    //
+    // The reference model is the pool this module used before the page
+    // table: one `Vec` of frames per file, MRU-first under LRU and a
+    // slot array swept by a hand under Clock, searched linearly, with
+    // every LRU hit moved to the front. It holds page numbers and flags
+    // only; the pager under test holds real pages.
+
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    struct RefFrame {
+        page_no: u32,
+        dirty: bool,
+        referenced: bool,
+    }
+
+    struct RefPool {
+        cap: usize,
+        frames: Vec<RefFrame>,
+        hand: usize,
+    }
+
+    impl RefPool {
+        fn evict_index(&mut self, policy: EvictionPolicy) -> usize {
+            match policy {
+                EvictionPolicy::Lru => self.frames.len() - 1,
+                EvictionPolicy::Clock => {
+                    let n = self.frames.len();
+                    loop {
+                        let i = self.hand % n;
+                        self.hand = (i + 1) % n;
+                        if self.frames[i].referenced {
+                            self.frames[i].referenced = false;
+                            continue;
+                        }
+                        return i;
+                    }
+                }
+            }
+        }
+    }
+
+    #[derive(Default)]
+    struct RefPager {
+        policy: EvictionPolicy,
+        default_cap: usize,
+        overrides: BTreeMap<FileId, usize>,
+        pools: BTreeMap<FileId, RefPool>,
+        lengths: BTreeMap<FileId, u32>,
+        io: BTreeMap<FileId, crate::iostats::FileIo>,
+        /// Write-backs, in order, since the last `take_writes`.
+        writes: Vec<(FileId, u32)>,
+    }
+
+    impl RefPager {
+        fn pool(&mut self, f: FileId) -> &mut RefPool {
+            let cap = self.overrides.get(&f).copied();
+            let cap = cap.unwrap_or(self.default_cap);
+            self.pools.entry(f).or_insert_with(|| RefPool {
+                cap,
+                frames: Vec::new(),
+                hand: 0,
+            })
+        }
+
+        fn write_back(&mut self, f: FileId, frame: RefFrame) {
+            if frame.dirty {
+                self.writes.push((f, frame.page_no));
+                self.io.entry(f).or_default().writes += 1;
+            }
+        }
+
+        fn install(&mut self, f: FileId, frame: RefFrame) {
+            let policy = self.policy;
+            let pool = self.pool(f);
+            let mut at = match policy {
+                EvictionPolicy::Lru => 0,
+                EvictionPolicy::Clock => pool.frames.len(),
+            };
+            if pool.frames.len() >= pool.cap {
+                let idx = pool.evict_index(policy);
+                if policy == EvictionPolicy::Clock {
+                    at = idx;
+                }
+                let old = pool.frames.remove(idx);
+                self.io.entry(f).or_default().evictions += 1;
+                self.write_back(f, old);
+            }
+            self.pool(f).frames.insert(at, frame);
+        }
+
+        /// A `read` (or, with `dirty`, a `write`); true on a hit.
+        fn access(&mut self, f: FileId, page_no: u32, dirty: bool) -> bool {
+            let policy = self.policy;
+            let pool = self.pool(f);
+            let hit = pool.frames.iter().position(|x| x.page_no == page_no);
+            let io = self.io.entry(f).or_default();
+            io.accesses += 1;
+            match hit {
+                Some(_) => io.hits += 1,
+                None => io.reads += 1,
+            }
+            let at = match hit {
+                Some(pos) => {
+                    let pool = self.pool(f);
+                    match policy {
+                        EvictionPolicy::Lru => {
+                            let frame = pool.frames.remove(pos);
+                            pool.frames.insert(0, frame);
+                            0
+                        }
+                        EvictionPolicy::Clock => {
+                            pool.frames[pos].referenced = true;
+                            pos
+                        }
+                    }
+                }
+                None => {
+                    let frame = RefFrame {
+                        page_no,
+                        dirty: false,
+                        referenced: false,
+                    };
+                    self.install(f, frame);
+                    let pool = self.pool(f);
+                    pool.frames
+                        .iter()
+                        .position(|x| x.page_no == page_no)
+                        .expect("just installed")
+                }
+            };
+            self.pool(f).frames[at].dirty |= dirty;
+            hit.is_some()
+        }
+
+        fn append(&mut self, f: FileId) -> u32 {
+            let len = self.lengths.entry(f).or_default();
+            let page_no = *len;
+            *len += 1;
+            let frame = RefFrame {
+                page_no,
+                dirty: true,
+                referenced: false,
+            };
+            self.install(f, frame);
+            page_no
+        }
+
+        fn flush_file(&mut self, f: FileId) {
+            let Some(pool) = self.pools.get_mut(&f) else {
+                return;
+            };
+            let mut dirty = Vec::new();
+            for frame in &mut pool.frames {
+                if frame.dirty {
+                    frame.dirty = false;
+                    dirty.push(*frame);
+                }
+            }
+            for frame in dirty {
+                self.write_back(
+                    f,
+                    RefFrame {
+                        dirty: true,
+                        ..frame
+                    },
+                );
+            }
+        }
+
+        fn invalidate(&mut self) {
+            let files: Vec<FileId> = self.pools.keys().copied().collect();
+            for f in files {
+                let pool = self.pool(f);
+                pool.hand = 0;
+                for frame in std::mem::take(&mut pool.frames) {
+                    self.write_back(f, frame);
+                }
+            }
+        }
+
+        fn set_cap(&mut self, f: FileId, cap: usize) {
+            let policy = self.policy;
+            self.overrides.insert(f, cap);
+            self.pool(f).cap = cap;
+            while self.pool(f).frames.len() > cap {
+                let pool = self.pool(f);
+                let idx = pool.evict_index(policy);
+                let frame = pool.frames.remove(idx);
+                self.io.entry(f).or_default().evictions += 1;
+                self.write_back(f, frame);
+            }
+        }
+
+        fn readahead(&mut self, f: FileId, pages: &[u32]) -> u32 {
+            let len = self.lengths.get(&f).copied().unwrap_or(0);
+            let mut fetched = 0;
+            for &page_no in pages {
+                let pool = self.pool(f);
+                if pool.frames.len() >= pool.cap {
+                    break;
+                }
+                if pool.frames.iter().any(|x| x.page_no == page_no) {
+                    continue;
+                }
+                if page_no >= len {
+                    break;
+                }
+                pool.frames.push(RefFrame {
+                    page_no,
+                    dirty: false,
+                    referenced: false,
+                });
+                let io = self.io.entry(f).or_default();
+                io.accesses += 1;
+                io.reads += 1;
+                fetched += 1;
+            }
+            fetched
+        }
+
+        fn truncate(&mut self, f: FileId) {
+            if let Some(pool) = self.pools.get_mut(&f) {
+                pool.frames.clear();
+                pool.hand = 0;
+            }
+            self.lengths.insert(f, 0);
+        }
+
+        fn drop_file(&mut self, f: FileId) {
+            self.pools.remove(&f);
+            self.overrides.remove(&f);
+            self.lengths.remove(&f);
+        }
+    }
+
+    /// A `MemDisk` that logs every page write: in non-staging mode,
+    /// exactly the pager's write-backs.
+    struct LoggingDisk {
+        inner: MemDisk,
+        log: Arc<std::sync::Mutex<Vec<(FileId, u32)>>>,
+    }
+
+    impl DiskManager for LoggingDisk {
+        fn create_file(&mut self) -> Result<FileId> {
+            self.inner.create_file()
+        }
+        fn drop_file(&mut self, file: FileId) -> Result<()> {
+            self.inner.drop_file(file)
+        }
+        fn page_count(&self, file: FileId) -> Result<u32> {
+            self.inner.page_count(file)
+        }
+        fn read_page(
+            &mut self,
+            file: FileId,
+            page_no: u32,
+        ) -> Result<Page> {
+            self.inner.read_page(file, page_no)
+        }
+        fn write_page(
+            &mut self,
+            file: FileId,
+            page_no: u32,
+            page: &Page,
+        ) -> Result<()> {
+            self.log.lock().expect("log").push((file, page_no));
+            self.inner.write_page(file, page_no, page)
+        }
+        fn append_page(
+            &mut self,
+            file: FileId,
+            page: &Page,
+        ) -> Result<u32> {
+            self.inner.append_page(file, page)
+        }
+        fn truncate(&mut self, file: FileId) -> Result<()> {
+            self.inner.truncate(file)
+        }
+        fn sync(&mut self, file: FileId) -> Result<()> {
+            self.inner.sync(file)
+        }
+        fn files(&self) -> Vec<FileId> {
+            self.inner.files()
+        }
+    }
+
+    /// The pool's frames in list order, its hand and its cap, checking
+    /// the page table and the list against the slots on the way.
+    fn layout(pager: &Pager, f: FileId) -> (Vec<RefFrame>, usize, usize) {
+        let st = pager.st_read();
+        let Some(pool) = st.pools.get(&f) else {
+            return (Vec::new(), 0, 0);
+        };
+        let mut out = Vec::new();
+        let mut prev = NIL;
+        let mut s = pool.head;
+        while s != NIL {
+            assert_eq!(pool.prev[s as usize], prev, "list links");
+            let frame = &pool.frames[s as usize];
+            assert_eq!(pool.slot_of(frame.page_no), Some(s as usize));
+            assert!(!frame.pinned);
+            out.push(RefFrame {
+                page_no: frame.page_no,
+                dirty: frame.dirty,
+                referenced: frame.referenced,
+            });
+            prev = s;
+            s = pool.next[s as usize];
+        }
+        assert_eq!(pool.tail, prev, "list tail");
+        assert_eq!(out.len(), pool.frames.len(), "every slot listed");
+        assert_eq!(
+            pool.table.iter().filter(|&&s| s != NIL).count(),
+            out.len(),
+            "no stale page-table entries"
+        );
+        assert_eq!(pool.pinned, 0);
+        (out, pool.hand, pool.cap)
+    }
+
+    fn ref_layout(
+        m: &RefPager,
+        f: FileId,
+    ) -> (Vec<RefFrame>, usize, usize) {
+        match m.pools.get(&f) {
+            Some(p) => (p.frames.clone(), p.hand, p.cap),
+            None => (Vec::new(), 0, 0),
+        }
+    }
+
+    fn by_file(mut log: Vec<(FileId, u32)>) -> Vec<(FileId, u32)> {
+        // Cross-file order follows the pager's pool map; within a file
+        // the order is the policy's and must match exactly.
+        log.sort_by_key(|(f, _)| *f);
+        log
+    }
+
+    /// One seeded run: random operations on three files, checked against
+    /// the reference model after every step.
+    fn differential_run(seed: u64, cap: usize, policy: EvictionPolicy) {
+        use tdbms_kernel::prng::Prng;
+        const CAPS: [usize; 5] = [1, 2, 3, 8, 64];
+        let ctx = format!("seed {seed} cap {cap} {policy}");
+        let log = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let pager = Pager::with_config(
+            Box::new(LoggingDisk {
+                inner: MemDisk::new(),
+                log: Arc::clone(&log),
+            }),
+            BufferConfig::uniform(cap, policy),
+        );
+        pager.set_readahead(true);
+        let mut model = RefPager {
+            policy,
+            default_cap: cap,
+            ..RefPager::default()
+        };
+        // Last LSN stamped into each page: the content every read must
+        // see, whether the page comes from a frame or from disk.
+        let mut content: BTreeMap<(FileId, u32), u32> = BTreeMap::new();
+        let mut files: Vec<FileId> = Vec::new();
+        for _ in 0..3 {
+            let f = pager.create_file().unwrap();
+            model.pool(f);
+            files.push(f);
+        }
+        let mut g = Prng::seed_from_u64(seed);
+        let mut stamp = 0u32;
+        for step in 0..3000 {
+            let fi = g.random_below(files.len() as u64) as usize;
+            let f = files[fi];
+            let len = model.lengths.get(&f).copied().unwrap_or(0);
+            // Skewed page choice, so large pools see hits too.
+            let pick = |g: &mut Prng| -> u32 {
+                if g.random_bool() {
+                    g.random_below(u64::from(len.min(4))) as u32
+                } else {
+                    g.random_below(u64::from(len)) as u32
+                }
+            };
+            let before: Vec<u32> =
+                ref_layout(&model, f).0.iter().map(|x| x.page_no).collect();
+            let op = g.random_below(1000);
+            let what;
+            match op {
+                0..=299 if len > 0 => {
+                    let p = pick(&mut g);
+                    what = format!("read {f:?}:{p}");
+                    let hits = pager.stats().of(f).hits;
+                    let lsn = pager.read(f, p, |pg| pg.lsn()).unwrap();
+                    let hit = model.access(f, p, false);
+                    assert_eq!(
+                        pager.stats().of(f).hits > hits,
+                        hit,
+                        "{ctx} step {step} {what}: hit/miss"
+                    );
+                    let want = content.get(&(f, p)).copied().unwrap_or(0);
+                    assert_eq!(lsn, want, "{ctx} step {step} {what}");
+                }
+                300..=499 if len > 0 => {
+                    let p = pick(&mut g);
+                    what = format!("write {f:?}:{p}");
+                    stamp += 1;
+                    let hits = pager.stats().of(f).hits;
+                    pager.write(f, p, |pg| pg.set_lsn(stamp)).unwrap();
+                    let hit = model.access(f, p, true);
+                    assert_eq!(
+                        pager.stats().of(f).hits > hits,
+                        hit,
+                        "{ctx} step {step} {what}: hit/miss"
+                    );
+                    content.insert((f, p), stamp);
+                }
+                0..=699 => {
+                    what = format!("append {f:?}");
+                    let p = pager.append_page(f, PageKind::Data).unwrap();
+                    assert_eq!(p, model.append(f), "{ctx} {what}");
+                }
+                700..=739 => {
+                    what = format!("flush {f:?}");
+                    pager.flush_file(f).unwrap();
+                    model.flush_file(f);
+                }
+                740..=749 => {
+                    what = "invalidate".to_string();
+                    pager.invalidate_buffers().unwrap();
+                    model.invalidate();
+                }
+                750..=769 => {
+                    // Resize (a shrink, unless the run's cap is 1),
+                    // compare, and go back to the run's cap.
+                    let c =
+                        CAPS[g.random_below(CAPS.len() as u64) as usize];
+                    what = format!("cap {f:?} {c}");
+                    pager.set_buffer_frames(f, c).unwrap();
+                    model.set_cap(f, c);
+                    assert_eq!(
+                        layout(&pager, f),
+                        ref_layout(&model, f),
+                        "{ctx} step {step} {what}"
+                    );
+                    pager.set_buffer_frames(f, cap).unwrap();
+                    model.set_cap(f, cap);
+                }
+                770..=889 => {
+                    let n = g.random_below(6) as usize;
+                    let pages: Vec<u32> = (0..n)
+                        .map(|_| g.random_below(u64::from(len) + 2) as u32)
+                        .collect();
+                    what = format!("readahead {f:?} {pages:?}");
+                    let got = pager.readahead(f, &pages).unwrap();
+                    assert_eq!(got, model.readahead(f, &pages), "{what}");
+                }
+                890..=892 => {
+                    what = format!("truncate {f:?}");
+                    pager.truncate(f).unwrap();
+                    model.truncate(f);
+                    content.retain(|(g, _), _| *g != f);
+                }
+                893..=894 => {
+                    what = format!("drop {f:?}");
+                    pager.drop_file(f).unwrap();
+                    model.drop_file(f);
+                    content.retain(|(g, _), _| *g != f);
+                    let fresh = pager.create_file().unwrap();
+                    model.pool(fresh);
+                    files[fi] = fresh;
+                }
+                895..=899 => {
+                    let p = match model.policy {
+                        EvictionPolicy::Lru => EvictionPolicy::Clock,
+                        EvictionPolicy::Clock => EvictionPolicy::Lru,
+                    };
+                    what = format!("policy {p}");
+                    pager.set_eviction_policy(p);
+                    model.policy = p;
+                }
+                _ => continue,
+            }
+            let ctx = format!("{ctx} step {step} {what}");
+            // The victim: the page this step pushed out of `f`'s pool.
+            let after: Vec<u32> =
+                ref_layout(&model, f).0.iter().map(|x| x.page_no).collect();
+            let victims = |now: &[u32]| -> Vec<u32> {
+                before
+                    .iter()
+                    .copied()
+                    .filter(|p| !now.contains(p))
+                    .collect()
+            };
+            let got: Vec<u32> =
+                layout(&pager, f).0.iter().map(|x| x.page_no).collect();
+            assert_eq!(victims(&got), victims(&after), "{ctx}: victims");
+            for &h in &files {
+                assert_eq!(
+                    layout(&pager, h),
+                    ref_layout(&model, h),
+                    "{ctx}: layout of {h:?}"
+                );
+            }
+            let written = std::mem::take(&mut *log.lock().unwrap());
+            assert_eq!(
+                by_file(written),
+                by_file(std::mem::take(&mut model.writes)),
+                "{ctx}: write-backs"
+            );
+        }
+        for (f, want) in &model.io {
+            let got = pager.stats().of(*f);
+            assert_eq!(
+                (got.reads, got.writes, got.hits, got.evictions),
+                (want.reads, want.writes, want.hits, want.evictions),
+                "{ctx}: final IoStats of {f:?}"
+            );
+            assert_eq!(got.accesses, want.accesses, "{ctx}: {f:?}");
+        }
+        assert!(pager.stats().is_consistent());
+    }
+
+    #[test]
+    fn pool_matches_the_linear_scan_model() {
+        for policy in [EvictionPolicy::Lru, EvictionPolicy::Clock] {
+            for cap in [1, 2, 3, 8, 64] {
+                for seed in 0..4 {
+                    differential_run(0xB0F + seed, cap, policy);
+                }
+            }
+        }
     }
 }

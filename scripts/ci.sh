@@ -93,6 +93,23 @@ gate_concurrency_stress() {
     cargo test -q --test concurrency
 }
 
+# Flake gate for the seeded stress: the 100-schedule test 50 times in
+# release, each run its own process, failing on the first failure. A
+# race that trips one run in a few (the I/O ledger's once did) passes
+# a single run of the suite above.
+gate_concurrency_loop() {
+    local i out
+    cargo test --release -q --test concurrency --no-run
+    for i in $(seq 1 50); do
+        if ! out=$(cargo test --release -q --test concurrency \
+            hundred_seeded_schedules_audit_clean 2>&1); then
+            printf '%s\n' "$out"
+            echo "concurrency-loop: run $i of 50 failed"
+            return 1
+        fi
+    done
+}
+
 # Group-commit acceptance gate: the crash matrix (kills between the
 # batch fsync and the per-session ack), the inline settle path, and
 # the checkpoint interplay — zero acked-tuple loss, no phantom acks.
@@ -472,7 +489,7 @@ $with_fmt && GATES+=(fmt)
 GATES+=(
     build clippy test
     wal-crash-matrix corruption-scrub transient-retry
-    concurrency-stress group-commit-crash snapshot-stress
+    concurrency-stress concurrency-loop group-commit-crash snapshot-stress
     fig5-checksums figures-threads fig11-shape
     planner-golden plan-cache-smoke
     throughput-smoke net-protocol server-smoke check-recovery
@@ -498,7 +515,7 @@ fi
 export bindir profile_flag profile
 export -f gate_fmt gate_build gate_clippy gate_test \
     gate_wal_crash_matrix gate_corruption_scrub gate_transient_retry \
-    gate_concurrency_stress gate_group_commit_crash \
+    gate_concurrency_stress gate_concurrency_loop gate_group_commit_crash \
     gate_snapshot_stress gate_fig5_checksums gate_figures_threads \
     gate_fig11_shape gate_planner_golden gate_plan_cache_smoke \
     gate_throughput_smoke gate_net_protocol \
